@@ -151,9 +151,6 @@ pub struct GroupConfig {
     /// When full, new application messages are refused until
     /// acknowledgement floors advance (senders retry on timers).
     pub history_cap: usize,
-    /// History occupancy (in entries) at which the sequencer proactively
-    /// starts a status (sync) round to advance the GC floor.
-    pub history_high_water: usize,
     /// Initial retransmission timeout for an unacknowledged
     /// `SendToGroup` request, µs. Doubles per retry.
     pub send_retransmit_us: u64,
@@ -165,7 +162,8 @@ pub struct GroupConfig {
     pub nack_retry_us: u64,
     /// Interval between unsolicited sequencer sync rounds, µs (also
     /// bounds failure-detection latency for silent members). 0 disables
-    /// periodic rounds (high-water rounds still happen).
+    /// periodic rounds (the sequencer still starts one whenever it
+    /// refuses a request because the history is full).
     pub sync_interval_us: u64,
     /// How long the sequencer waits for `Status` replies in a sync round
     /// before re-asking, µs.
@@ -226,7 +224,6 @@ impl Default for GroupConfig {
             send_window: 1,
             max_message: 8_000,
             history_cap: 128,
-            history_high_water: 96,
             send_retransmit_us: 50_000,
             send_max_retries: 8,
             nack_retry_us: 20_000,
@@ -293,11 +290,10 @@ impl GroupConfig {
         if members > 95 {
             c.sync_max_retries = 6;
         }
-        // Keep admission-era control entries (one per join) below the
-        // high-water mark, or formation itself triggers pressure sync
-        // rounds on a still-growing membership.
+        // Leave room above the admission-era control entries (one per
+        // join), or formation itself fills the history and triggers
+        // pressure sync rounds on a still-growing membership.
         c.history_cap = c.history_cap.max(members + 64);
-        c.history_high_water = c.history_cap * 3 / 4;
         let reply_span = n * c.status_stagger_us;
         c.sync_round_us = c.sync_round_us.max(reply_span + reply_span / 2);
         c.sync_interval_us = c.sync_interval_us.max(2 * c.sync_round_us);
@@ -333,9 +329,6 @@ impl GroupConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.history_cap == 0 {
             return Err("history_cap must be at least 1".into());
-        }
-        if self.history_high_water > self.history_cap {
-            return Err("history_high_water must not exceed history_cap".into());
         }
         if self.send_retransmit_us == 0 {
             return Err("send_retransmit_us must be positive".into());
@@ -391,10 +384,6 @@ mod tests {
     #[test]
     fn validation_catches_bad_configs() {
         let c = GroupConfig { history_cap: 0, ..GroupConfig::default() };
-        assert!(c.validate().is_err());
-
-        let base = GroupConfig::default();
-        let c = GroupConfig { history_high_water: base.history_cap + 1, ..base };
         assert!(c.validate().is_err());
 
         let c = GroupConfig { send_retransmit_us: 0, ..GroupConfig::default() };

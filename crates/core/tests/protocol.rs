@@ -266,7 +266,6 @@ fn history_gc_advances_with_piggybacked_floors() {
 fn flow_control_survives_a_tiny_history_buffer() {
     let config = GroupConfig {
         history_cap: 4,
-        history_high_water: 3,
         ..fast_config()
     };
     let mut net = build_group(3, config, 17);

@@ -170,7 +170,6 @@ fn bb_method_respects_flow_control() {
     let config = GroupConfig {
         method: Method::Bb,
         history_cap: 4,
-        history_high_water: 3,
         ..fast_config()
     };
     let mut net = build_group(3, config, 68);

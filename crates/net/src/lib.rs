@@ -75,5 +75,5 @@ pub use frame::{Frame, FrameDst, MacAddr, McastAddr};
 pub use medium::{MediumState, MediumStats};
 pub use net::{Host, HostId, Net, NetConfig, NetView};
 pub use nic::{Nic, NicStats};
-pub use transport::{Datagram, Transport, TransportSender};
+pub use transport::{Datagram, InPlaceSink, Transport, TransportSender};
 pub use udp::{UdpConfig, UdpNet, ENVELOPE_LEN, MAX_UDP_DATAGRAM};

@@ -11,19 +11,32 @@
 //! **Endpoints.** Each registered FLIP address owns one UDP socket
 //! bound to 127.0.0.1 (or a port pre-bound via
 //! [`UdpNet::bind_endpoint`] so a harness can exchange ports before
-//! the protocol starts talking). Two threads serve it: a *receive
-//! pump* that turns datagrams back into `(source, WireFrame)` pairs
-//! for the unchanged driver loop, and a *send thread* that drains the
-//! endpoint's queue batch-wise — one wake processes every frame queued
-//! behind it, gather-encoding each fragment (envelope + head slice +
-//! tail slice) into one reusable scratch buffer per `send_to`.
+//! the protocol starts talking) and exactly one OS thread, its
+//! *receive pump*:
+//!
+//! - **Sends run on the calling thread.** A `UdpSender` owns its
+//!   scratch buffer and peer-table cache and calls `send_to` itself,
+//!   gather-encoding each fragment (envelope + head slice + tail
+//!   slice) into the scratch. Fragment message ids come from one
+//!   atomic counter per endpoint, shared by all its senders.
+//! - **Receives run on the pump.** It turns datagrams back into
+//!   `(source, WireFrame)` pairs and hands each one to the endpoint's
+//!   inbox. The inbox is either the member's [`InPlaceSink`]
+//!   ([`Transport::register_in_place`]), which decodes the frame and
+//!   steps the protocol core right there, or a channel to the member's
+//!   driver thread ([`Transport::register`]), the path wrappers that do
+//!   not forward the in-place hook take.
+//!
+//! After [`Transport::unregister`] returns, the inbox is gone (no
+//! frame reaches the member again) and every sender of the endpoint
+//! blackholes, which is what `crash()` relies on.
 //!
 //! **Peer table.** The authoritative registry (peer socket addresses,
 //! local endpoints, local multicast subscriptions) lives behind one
 //! mutex, but neither senders nor pumps ever take it: every mutation
-//! publishes an immutable snapshot and bumps an epoch, and each thread
-//! revalidates its cached `Arc` with a single atomic load — the same
-//! discipline `LiveNet` established (DESIGN.md §7).
+//! publishes an immutable snapshot and bumps an epoch, and each sender
+//! and pump revalidates its cached `Arc` with a single atomic load —
+//! the same discipline `LiveNet` established (DESIGN.md §7).
 //!
 //! **Multicast.** A real LAN would let the NIC filter multicast; over
 //! unicast UDP we do the moral equivalent: a multicast send fans out
@@ -54,10 +67,10 @@ use std::time::{Duration, Instant};
 use amoeba_core::{GroupId, WireFrame};
 use amoeba_flip::{split_lens, FlipAddress, FragKey, Reassembler};
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::transport::{Datagram, Transport, TransportSender};
+use crate::transport::{Datagram, InPlaceSink, Transport, TransportSender};
 
 /// Wire envelope prefixed to every datagram: magic (2) + version (1) +
 /// src (8) + dst (8) + msg id (8) + fragment index (2) + count (2).
@@ -152,14 +165,7 @@ fn gather_range(out: &mut Vec<u8>, frame: &WireFrame, off: usize, len: usize) {
         out.extend_from_slice(&tail[off.saturating_sub(head_len)..end - head_len]);
     }
 }
-
-/// What a [`UdpSender`] hands its endpoint's send thread.
-enum SendItem {
-    Unicast(FlipAddress, WireFrame),
-    Multicast(GroupId, WireFrame),
-}
-
-/// Immutable registry copy that pumps and send threads read lock-free.
+/// Immutable registry copy that pumps and senders read lock-free.
 struct Snapshot {
     peers: HashMap<FlipAddress, SocketAddr>,
     /// *Local* multicast subscriptions only (see module docs).
@@ -172,16 +178,16 @@ impl Snapshot {
     }
 }
 
-/// The published snapshot plus its epoch — shared by the fabric and
-/// every endpoint thread (a separate `Arc` so threads never keep the
+/// The published snapshot plus its epoch — shared by the fabric, every
+/// pump and every sender (a separate `Arc` so they never keep the
 /// fabric itself alive).
 struct Published {
     epoch: AtomicU64,
     snap: Mutex<Arc<Snapshot>>,
 }
 
-/// A thread's epoch-tagged snapshot handle: one atomic load per use,
-/// the mutex touched only when membership actually changed.
+/// An epoch-tagged snapshot handle: one atomic load per use, the mutex
+/// touched only when membership actually changed.
 struct Cache {
     epoch: u64,
     snap: Arc<Snapshot>,
@@ -201,19 +207,48 @@ impl Cache {
     }
 }
 
-/// One registered endpoint's server-side state.
+/// Where an endpoint's pump hands reassembled frames.
+enum Inbox {
+    /// To the member's driver thread ([`Transport::register`]).
+    Queue(Sender<Datagram>),
+    /// Into the member itself, on the pump
+    /// ([`Transport::register_in_place`]).
+    InPlace(InPlaceSink),
+}
+
+/// One registered endpoint, shared by its pump and all its senders.
 struct Endpoint {
-    queue: Sender<SendItem>,
-    shutdown: Arc<AtomicBool>,
+    sock: UdpSocket,
+    /// `None` once unregistered. The pump holds the lock while it hands
+    /// a frame over, so clearing it waits out a delivery in progress.
+    inbox: Mutex<Option<Inbox>>,
+    /// Set on unregister: senders blackhole, the pump exits. A bare
+    /// flag that publishes no other data (the inbox has its own lock),
+    /// hence relaxed loads and stores.
+    closed: AtomicBool,
+    /// Fragment message ids, one counter for all senders of the
+    /// endpoint so receivers' reassembly keys never collide.
+    next_msg_id: AtomicU64,
+}
+
+impl Endpoint {
+    /// Stops the endpoint. Returns once no frame is being delivered and
+    /// none ever will be again. Never call it with the registry locked
+    /// (a delivery in progress may be sending, which reads the
+    /// published snapshot).
+    fn close(&self) {
+        self.closed.store(true, Ordering::Relaxed);
+        *self.inbox.lock() = None;
+    }
 }
 
 /// Authoritative state, mutated under its mutex.
 struct Registry {
     peers: HashMap<FlipAddress, SocketAddr>,
     groups: HashMap<GroupId, HashSet<FlipAddress>>,
-    local: HashMap<FlipAddress, Endpoint>,
+    local: HashMap<FlipAddress, Arc<Endpoint>>,
     /// Sockets bound ahead of registration (port exchange).
-    prebound: HashMap<FlipAddress, Arc<UdpSocket>>,
+    prebound: HashMap<FlipAddress, UdpSocket>,
 }
 
 /// The inter-process UDP datagram fabric. See the module docs.
@@ -277,7 +312,7 @@ impl UdpNet {
     ///
     /// The underlying bind error, if the OS refuses a loopback socket.
     pub fn bind_endpoint(&self, addr: FlipAddress) -> io::Result<SocketAddr> {
-        let sock = Arc::new(UdpSocket::bind(("127.0.0.1", 0))?);
+        let sock = UdpSocket::bind(("127.0.0.1", 0))?;
         let local = sock.local_addr()?;
         self.registry.lock().prebound.insert(addr, sock);
         Ok(local)
@@ -301,73 +336,69 @@ impl UdpNet {
     }
 }
 
-impl Transport for UdpNet {
-    /// Plugs `addr` in: adopts its pre-bound socket (or binds a fresh
-    /// loopback port), spawns its receive pump and send thread, and
-    /// announces the port to local senders.
+impl UdpNet {
+    /// Plugs `addr` in with the given inbox: adopts its pre-bound
+    /// socket (or binds a fresh loopback port), spawns its receive
+    /// pump, and announces the port to local senders. Re-registration
+    /// replaces the endpoint (mirrors `LiveNet`).
     ///
     /// # Panics
     ///
-    /// Panics if the OS refuses to bind or the threads cannot spawn —
+    /// Panics if the OS refuses to bind or the pump cannot spawn —
     /// endpoint creation failing is a harness-level error, not a
     /// protocol outcome.
-    fn register(&self, addr: FlipAddress) -> Receiver<Datagram> {
+    fn plug(&self, addr: FlipAddress, inbox: Inbox) {
         let mut reg = self.registry.lock();
-        // Re-registration replaces the endpoint (mirrors LiveNet).
-        if let Some(old) = reg.local.remove(&addr) {
-            old.shutdown.store(true, Ordering::Relaxed);
-        }
         let sock = reg.prebound.remove(&addr).unwrap_or_else(|| {
-            Arc::new(UdpSocket::bind(("127.0.0.1", 0)).expect("bind UDP endpoint"))
+            UdpSocket::bind(("127.0.0.1", 0)).expect("bind UDP endpoint")
         });
         let local = sock.local_addr().expect("bound socket has an address");
-        let (inbox_tx, inbox_rx) = channel::unbounded();
-        let (queue_tx, queue_rx) = channel::unbounded();
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let pump = PumpState {
-            sock: Arc::clone(&sock),
+        let ep = Arc::new(Endpoint {
+            sock,
+            inbox: Mutex::new(Some(inbox)),
+            closed: AtomicBool::new(false),
+            next_msg_id: AtomicU64::new(0),
+        });
+        let pump = Pump {
+            ep: Arc::clone(&ep),
             me: addr,
-            inbox: inbox_tx,
-            shutdown: Arc::clone(&shutdown),
             published: Arc::clone(&self.published),
             purge_after: self.cfg.purge_after,
         };
         std::thread::Builder::new()
-            .name(format!("udp-pump-{addr}"))
+            .name(format!("udp-p{}", addr.id()))
             .spawn(move || pump.run())
             .expect("spawn UDP receive pump");
-
-        let send = SendState {
-            sock,
-            from: addr,
-            queue: queue_rx,
-            shutdown: Arc::clone(&shutdown),
-            published: Arc::clone(&self.published),
-            max_datagram: self.cfg.max_datagram,
-        };
-        std::thread::Builder::new()
-            .name(format!("udp-send-{addr}"))
-            .spawn(move || send.run())
-            .expect("spawn UDP send thread");
-
         reg.peers.insert(addr, local);
-        reg.local.insert(addr, Endpoint { queue: queue_tx, shutdown });
+        let old = reg.local.insert(addr, ep);
         self.publish(&reg);
-        inbox_rx
+        drop(reg);
+        if let Some(old) = old {
+            old.close();
+        }
+    }
+}
+
+impl Transport for UdpNet {
+    fn register(&self, addr: FlipAddress) -> Receiver<Datagram> {
+        let (tx, rx) = channel::unbounded();
+        self.plug(addr, Inbox::Queue(tx));
+        rx
     }
 
     fn unregister(&self, addr: FlipAddress) {
         let mut reg = self.registry.lock();
-        if let Some(ep) = reg.local.remove(&addr) {
-            ep.shutdown.store(true, Ordering::Relaxed);
-        }
+        let ep = reg.local.remove(&addr);
         reg.peers.remove(&addr);
         reg.prebound.remove(&addr);
         for members in reg.groups.values_mut() {
             members.remove(&addr);
         }
         self.publish(&reg);
+        drop(reg);
+        if let Some(ep) = ep {
+            ep.close();
+        }
     }
 
     fn join_mcast(&self, group: GroupId, addr: FlipAddress) {
@@ -377,122 +408,67 @@ impl Transport for UdpNet {
     }
 
     fn sender(&self, from: FlipAddress) -> Box<dyn TransportSender> {
-        let reg = self.registry.lock();
-        let queue = reg
-            .local
-            .get(&from)
-            .map(|ep| ep.queue.clone())
-            // An unregistered sender's traffic blackholes (disconnected
-            // channel): best-effort, like the fabric itself.
-            .unwrap_or_else(|| channel::unbounded().0);
-        Box::new(UdpSender { queue })
+        match self.registry.lock().local.get(&from) {
+            Some(ep) => Box::new(UdpSender {
+                ep: Arc::clone(ep),
+                from,
+                published: Arc::clone(&self.published),
+                cache: Cache::new(),
+                scratch: Vec::new(),
+                max_datagram: self.cfg.max_datagram,
+            }),
+            // An unregistered sender's traffic blackholes: best-effort,
+            // like the fabric itself.
+            None => Box::new(Blackhole),
+        }
+    }
+
+    /// The pump decodes nothing itself: it hands each reassembled frame
+    /// to `sink`, which runs the member's protocol step on the pump.
+    fn register_in_place(&self, addr: FlipAddress, sink: InPlaceSink) -> bool {
+        self.plug(addr, Inbox::InPlace(sink));
+        true
     }
 }
 
 impl Drop for UdpNet {
     fn drop(&mut self) {
-        // Registry entries (and their queue senders) drop with us; the
-        // flags stop the pumps within one read-timeout tick.
+        // The flags stop the pumps within one read-timeout tick. The
+        // inboxes are not locked here: this may run on a pump thread
+        // in the middle of a delivery.
         for ep in self.registry.lock().local.values() {
-            ep.shutdown.store(true, Ordering::Relaxed);
+            ep.closed.store(true, Ordering::Relaxed);
         }
     }
 }
 
-/// The per-endpoint sending port: enqueues to the endpoint's send
-/// thread, which batches socket writes.
+/// The per-endpoint sending port: writes from the calling thread,
+/// fragmenting against the datagram ceiling and gather-encoding
+/// envelope + frame slices into its own scratch per `send_to`.
 struct UdpSender {
-    queue: Sender<SendItem>,
-}
-
-impl TransportSender for UdpSender {
-    fn unicast(&mut self, to: FlipAddress, frame: WireFrame) {
-        let _ = self.queue.send(SendItem::Unicast(to, frame));
-    }
-
-    fn multicast(&mut self, group: GroupId, frame: WireFrame) {
-        let _ = self.queue.send(SendItem::Multicast(group, frame));
-    }
-}
-
-/// The send thread: drains its queue batch-wise (every frame queued
-/// behind a wake goes out before the next block), fragments against
-/// the datagram ceiling, and gather-encodes envelope + frame slices
-/// into one reusable scratch per `send_to`.
-struct SendState {
-    sock: Arc<UdpSocket>,
+    ep: Arc<Endpoint>,
     from: FlipAddress,
-    queue: Receiver<SendItem>,
-    shutdown: Arc<AtomicBool>,
     published: Arc<Published>,
+    cache: Cache,
+    scratch: Vec<u8>,
     max_datagram: usize,
 }
 
-impl SendState {
-    fn run(self) {
-        let mut cache = Cache::new();
-        let mut scratch: Vec<u8> = Vec::with_capacity(self.max_datagram);
-        let mut msg_id = 0u64;
-        loop {
-            let first = match self.queue.recv_timeout(Duration::from_millis(100)) {
-                Ok(item) => item,
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.shutdown.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => return,
-            };
-            // One wake, whole queue: refresh the peer table once and
-            // stream every queued frame through the same scratch.
-            cache.refresh(&self.published);
-            let mut next = Some(first);
-            while let Some(item) = next {
-                msg_id += 1;
-                self.emit(&cache, &mut scratch, msg_id, item);
-                next = self.queue.try_recv().ok();
-            }
-            if self.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-        }
-    }
-
-    /// Fragments and writes one frame to its resolved targets. Socket
-    /// errors and unknown destinations drop silently (best-effort).
-    fn emit(&self, cache: &Cache, scratch: &mut Vec<u8>, msg_id: u64, item: SendItem) {
-        let single: [SocketAddr; 1];
-        let fanout: Vec<SocketAddr>;
-        let (dst, frame, targets): (u64, WireFrame, &[SocketAddr]) = match item {
-            SendItem::Unicast(to, frame) => {
-                let Some(&at) = cache.snap.peers.get(&to) else { return };
-                single = [at];
-                (to.as_u64(), frame, &single[..])
-            }
-            SendItem::Multicast(group, frame) => {
-                fanout = cache
-                    .snap
-                    .peers
-                    .iter()
-                    .filter(|(a, _)| **a != self.from)
-                    .map(|(_, at)| *at)
-                    .collect();
-                (GROUP_TAG | (group.0 & !GROUP_TAG), frame, &fanout[..])
-            }
-        };
-        if targets.is_empty() {
-            return;
-        }
+impl UdpSender {
+    /// Writes every fragment of `frame` to `to`, or to every peer but
+    /// this endpoint when `to` is `None`. Socket errors drop silently
+    /// (best-effort).
+    fn emit(&mut self, dst: u64, frame: &WireFrame, to: Option<SocketAddr>) {
         let budget = (self.max_datagram - ENVELOPE_LEN) as u32;
         let lens = split_lens(frame.len() as u32, budget);
         if lens.len() > u16::MAX as usize {
             return; // cannot be expressed on the wire; drop
         }
         let count = lens.len() as u16;
+        let msg_id = self.ep.next_msg_id.fetch_add(1, Ordering::Relaxed) + 1;
         let mut off = 0usize;
         for (index, len) in lens.into_iter().enumerate() {
-            scratch.clear();
+            self.scratch.clear();
             let env = Envelope {
                 src: self.from.as_u64(),
                 dst,
@@ -500,40 +476,77 @@ impl SendState {
                 index: index as u16,
                 count,
             };
-            encode_envelope(scratch, &env);
-            gather_range(scratch, &frame, off, len as usize);
-            for at in targets {
-                let _ = self.sock.send_to(scratch, at);
+            encode_envelope(&mut self.scratch, &env);
+            gather_range(&mut self.scratch, frame, off, len as usize);
+            match to {
+                Some(at) => {
+                    let _ = self.ep.sock.send_to(&self.scratch, at);
+                }
+                None => {
+                    for (peer, at) in &self.cache.snap.peers {
+                        if *peer != self.from {
+                            let _ = self.ep.sock.send_to(&self.scratch, at);
+                        }
+                    }
+                }
             }
             off += len as usize;
         }
     }
 }
 
-/// The receive pump: blocks on the socket (with a timeout tick so the
-/// shutdown flag is honored), validates envelopes, filters group
-/// traffic by the endpoint's own subscriptions, reassembles fragments,
-/// and feeds `(source, WireFrame)` pairs to the driver loop.
-struct PumpState {
-    sock: Arc<UdpSocket>,
+impl TransportSender for UdpSender {
+    fn unicast(&mut self, to: FlipAddress, frame: WireFrame) {
+        if self.ep.closed.load(Ordering::Relaxed) {
+            return;
+        }
+        self.cache.refresh(&self.published);
+        let Some(&at) = self.cache.snap.peers.get(&to) else { return };
+        self.emit(to.as_u64(), &frame, Some(at));
+    }
+
+    fn multicast(&mut self, group: GroupId, frame: WireFrame) {
+        if self.ep.closed.load(Ordering::Relaxed) {
+            return;
+        }
+        self.cache.refresh(&self.published);
+        self.emit(GROUP_TAG | (group.0 & !GROUP_TAG), &frame, None);
+    }
+}
+
+/// The sender of an endpoint that was never registered.
+struct Blackhole;
+
+impl TransportSender for Blackhole {
+    fn unicast(&mut self, _to: FlipAddress, _frame: WireFrame) {}
+
+    fn multicast(&mut self, _group: GroupId, _frame: WireFrame) {}
+}
+
+/// The receive pump, the endpoint's one thread: blocks on the socket
+/// (with a timeout tick so unregistration is honored), validates
+/// envelopes, filters group traffic by the endpoint's own
+/// subscriptions, reassembles fragments, and hands `(source,
+/// WireFrame)` pairs to the endpoint's inbox.
+struct Pump {
+    ep: Arc<Endpoint>,
     me: FlipAddress,
-    inbox: Sender<Datagram>,
-    shutdown: Arc<AtomicBool>,
     published: Arc<Published>,
     purge_after: Duration,
 }
 
-impl PumpState {
+impl Pump {
     fn run(self) {
-        let _ = self.sock.set_read_timeout(Some(Duration::from_millis(250)));
+        let sock = &self.ep.sock;
+        let _ = sock.set_read_timeout(Some(Duration::from_millis(250)));
         let mut scratch = vec![0u8; MAX_UDP_DATAGRAM];
         let mut reasm: Reassembler<Bytes> = Reassembler::new();
         let mut cache = Cache::new();
         let started = Instant::now();
         let purge_ms = self.purge_after.as_millis().max(1) as u64;
         let mut purged_at = 0u64;
-        while !self.shutdown.load(Ordering::Relaxed) {
-            let n = match self.sock.recv_from(&mut scratch) {
+        while !self.ep.closed.load(Ordering::Relaxed) {
+            let n = match sock.recv_from(&mut scratch) {
                 Ok((n, _)) => n,
                 // Timeout tick, or a transient error (loopback can
                 // surface ICMP-style failures): never panic the pump.
@@ -579,10 +592,16 @@ impl PumpState {
                 let key = FragKey { src, msg_id: env.msg_id };
                 reasm.insert_payload(key, env.index, env.count, body, now_ms)
             };
-            if let Some(buf) = complete {
-                if self.inbox.send((src, WireFrame::from(buf))).is_err() {
-                    return; // driver gone; endpoint is dead
+            let Some(buf) = complete else { continue };
+            let frame = WireFrame::from(buf);
+            match self.ep.inbox.lock().as_mut() {
+                Some(Inbox::InPlace(sink)) => sink(src, frame),
+                Some(Inbox::Queue(tx)) => {
+                    if tx.send((src, frame)).is_err() {
+                        return; // driver gone; endpoint is dead
+                    }
                 }
+                None => return, // unregistered
             }
         }
     }
@@ -591,6 +610,7 @@ impl PumpState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::RecvTimeoutError;
 
     fn addr(n: u64) -> FlipAddress {
         FlipAddress::process(n)
@@ -733,10 +753,9 @@ mod tests {
         let net = UdpNet::new(UdpConfig::default());
         net.register(addr(1));
         let mut tx = net.sender(addr(1));
+        // Nothing to assert beyond "no panic": the send runs (and
+        // drops) on this thread.
         tx.unicast(addr(99), frame(b"x".to_vec()));
-        // Nothing to assert beyond "no panic": give the send thread a
-        // beat to process the drop.
-        std::thread::sleep(Duration::from_millis(50));
     }
 
     #[test]
@@ -780,5 +799,125 @@ mod tests {
         assert_eq!(env.src, addr(1).as_u64());
         assert_eq!(env.dst, addr(2).as_u64());
         assert_eq!(&body[..], b"remote");
+    }
+
+    /// An in-place sink that forwards what it is handed to a channel.
+    fn in_place(net: &UdpNet, at: FlipAddress) -> Receiver<Datagram> {
+        let (tx, rx) = channel::unbounded();
+        let sink: InPlaceSink = Box::new(move |from, frame| {
+            let _ = tx.send((from, frame));
+        });
+        assert!(net.register_in_place(at, sink), "UdpNet delivers in place");
+        rx
+    }
+
+    #[test]
+    fn kept_sender_blackholes_after_unregister() {
+        let net = UdpNet::new(UdpConfig::default());
+        let g = GroupId(4);
+        let rx = net.register(addr(1));
+        net.register(addr(2));
+        net.join_mcast(g, addr(1));
+        let mut tx = net.sender(addr(2));
+        tx.unicast(addr(1), frame(b"before".to_vec()));
+        assert_eq!(&recv(&rx).1.to_contiguous()[..], b"before");
+        // The "crashed" process's port outlives it; its traffic must not.
+        net.unregister(addr(2));
+        tx.unicast(addr(1), frame(b"after".to_vec()));
+        tx.multicast(g, frame(b"after".to_vec()));
+        assert!(rx.recv_timeout(Duration::from_millis(200)).is_err());
+    }
+
+    #[test]
+    fn unregistered_endpoint_sink_sees_no_frame() {
+        let net = UdpNet::new(UdpConfig::default());
+        let rx = in_place(&net, addr(1));
+        let port = net.local_addr(addr(1)).expect("registered");
+        // A foreign socket keeps writing to the port after unregister,
+        // as a peer with a stale table would.
+        let foreign = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
+        let datagram = encode_datagram(
+            &Envelope { src: addr(2).as_u64(), dst: addr(1).as_u64(), msg_id: 1, index: 0, count: 1 },
+            b"x",
+        );
+        foreign.send_to(&datagram, port).expect("send");
+        assert_eq!(recv(&rx).0, addr(2), "delivered in place while registered");
+        net.unregister(addr(1));
+        foreign.send_to(&datagram, port).expect("send");
+        match rx.recv_timeout(Duration::from_millis(400)) {
+            Err(RecvTimeoutError::Disconnected) => {} // sink dropped, never called
+            other => panic!("frame reached an unregistered endpoint: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fragmented_frames_reassemble_with_per_endpoint_ids() {
+        // 512-byte datagrams split each 1400-byte frame in three.
+        let net = UdpNet::new(UdpConfig { max_datagram: 512, ..UdpConfig::default() });
+        let rx = in_place(&net, addr(1));
+        net.register(addr(2));
+        let foreign = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
+        foreign.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        net.add_peer(addr(3), foreign.local_addr().expect("addr"));
+        // Two senders of one endpoint draw from one id counter: their
+        // fragments could share a reassembly key otherwise.
+        let mut senders = [net.sender(addr(2)), net.sender(addr(2))];
+        let payload = |s: u8| vec![s + 1; 1400];
+        for (s, tx) in senders.iter_mut().enumerate() {
+            tx.unicast(addr(3), frame(payload(s as u8)));
+        }
+        let mut ids = HashMap::<u64, usize>::new();
+        let mut buf = [0u8; 512];
+        for _ in 0..6 {
+            let (n, _) = foreign.recv_from(&mut buf).expect("fragment arrives");
+            let (env, _) = split_envelope(&Bytes::from(buf[..n].to_vec())).expect("valid");
+            assert_eq!(env.count, 3);
+            *ids.entry(env.msg_id).or_default() += 1;
+        }
+        assert_eq!(ids.len(), 2, "one message id per frame: {ids:?}");
+        assert!(ids.values().all(|&n| n == 3));
+        // And the in-place receive path reassembles them.
+        for (s, tx) in senders.iter_mut().enumerate() {
+            tx.unicast(addr(1), frame(payload(s as u8)));
+            assert_eq!(&recv(&rx).1.to_contiguous()[..], &payload(s as u8)[..]);
+        }
+    }
+
+    /// Names of this process's threads (`/proc/self/task/*/comm`).
+    fn thread_names() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .expect("procfs")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .collect()
+    }
+
+    /// Polls until exactly `want` threads carry `name` (a thread names
+    /// itself just after it starts, and a pump exits within a tick).
+    fn threads_named(name: &str, want: usize) -> usize {
+        let end = Instant::now() + Duration::from_secs(2);
+        loop {
+            let n = thread_names().iter().filter(|t| *t == name).count();
+            if n == want || Instant::now() >= end {
+                return n;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    #[test]
+    fn registered_endpoint_owns_exactly_one_thread() {
+        let net = UdpNet::new(UdpConfig::default());
+        let (queued, placed) = (addr(424_242), addr(424_243));
+        let _rx = net.register(queued);
+        let _in_place = in_place(&net, placed);
+        let mut tx = net.sender(queued);
+        tx.unicast(placed, frame(b"x".to_vec()));
+        assert_eq!(threads_named("udp-p424242", 1), 1, "queued endpoint: its pump only");
+        assert_eq!(threads_named("udp-p424243", 1), 1, "in-place endpoint: its pump only");
+        net.unregister(queued);
+        net.unregister(placed);
+        assert_eq!(threads_named("udp-p424242", 0), 0, "pump exits after unregister");
+        assert_eq!(threads_named("udp-p424243", 0), 0, "pump exits after unregister");
     }
 }

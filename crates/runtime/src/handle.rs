@@ -110,9 +110,6 @@ impl Amoeba {
     ) -> Result<GroupHandle, GroupError> {
         let addr =
             amoeba_flip::FlipAddress::process(self.next_addr.fetch_add(1, Ordering::Relaxed));
-        // Plug into the fabric before the protocol starts talking.
-        let data_rx = self.transport.register(addr);
-        self.transport.join_mcast(group, addr);
         let (core, actions) = if create {
             GroupCore::create(group, addr, config)?
         } else {
@@ -120,8 +117,10 @@ impl Amoeba {
         };
         let (events_tx, events_rx) = channel::unbounded();
         let (ctl_tx, ctl_rx) = channel::unbounded();
-        let shared =
-            NodeShared::new(core, Arc::clone(&self.transport), group, addr, events_tx, ctl_tx);
+        // Plug into the fabric before the protocol starts talking.
+        let (shared, data_rx) =
+            NodeShared::plug_in(core, Arc::clone(&self.transport), group, addr, events_tx, ctl_tx);
+        self.transport.join_mcast(group, addr);
         let driver = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -129,7 +128,9 @@ impl Amoeba {
                 .spawn(move || drive(shared, data_rx, ctl_rx))
                 .expect("spawn driver thread")
         };
-        shared.run_actions(actions);
+        // Inbound frames may already be stepping the core: the first
+        // actions go out under its lock like every later step's.
+        shared.step(|_| actions);
         let handle = GroupHandle { shared, events_rx, driver: Some(driver) };
         // Both create (synchronous) and join (network round trips)
         // complete through the JoinDone slot.
@@ -195,7 +196,7 @@ impl GroupHandle {
         payloads: impl IntoIterator<Item = Bytes>,
     ) -> Vec<Result<Seqno, GroupError>> {
         let _sender = self.shared.send_lock.lock();
-        let window = self.shared.core.lock().config().send_window.max(1);
+        let window = self.shared.stepper.lock().core.config().send_window.max(1);
         let mut results = Vec::new();
         let mut outstanding = 0usize;
         for payload in payloads {
@@ -256,7 +257,7 @@ impl GroupHandle {
 
     /// `GetInfoGroup`: a snapshot of this member's view.
     pub fn info(&self) -> GroupInfo {
-        self.shared.core.lock().info()
+        self.shared.stepper.lock().core.info()
     }
 
     /// `ResetGroup`: rebuilds the group after failures, requiring at

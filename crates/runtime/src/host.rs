@@ -54,7 +54,7 @@ impl HostView for LiveView<'_> {
     }
 
     fn config(&self) -> GroupConfig {
-        self.handle.shared.core.lock().config().clone()
+        self.handle.shared.stepper.lock().core.config().clone()
     }
 }
 
@@ -78,7 +78,7 @@ enum Call {
 
 impl Pump {
     fn new(handle: GroupHandle, app: Box<dyn GroupApp>) -> Self {
-        let window = handle.shared.core.lock().config().send_window.max(1);
+        let window = handle.shared.stepper.lock().core.config().send_window.max(1);
         Pump {
             handle: Some(handle),
             app,

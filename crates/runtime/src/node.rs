@@ -1,13 +1,22 @@
-//! The per-member driver: a thread that feeds packets and timer
-//! expirations to the sans-io [`GroupCore`] and executes its actions.
+//! Stepping a member's sans-io [`GroupCore`] and executing its actions.
+//!
+//! Up to three threads step one member's core: the application thread
+//! (sends and the blocking primitives), the per-member driver thread
+//! (timers, and inbound frames on transports that queue them), and on
+//! a transport that delivers in place (`UdpNet`) that endpoint's
+//! receive pump. Every one of them goes through [`NodeShared::step`],
+//! which executes the resulting actions *before* releasing the
+//! [`Stepper`] lock, so a member's effects (frames on the wire, events
+//! to the application, completions) leave in exactly the order the
+//! core produced them.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use amoeba_core::{
     decode_wire_frame, Action, Dest, FrameEncoder, GroupCore, GroupError, GroupEvent,
-    GroupId, GroupInfo, Seqno, TimerKind,
+    GroupId, GroupInfo, Seqno, TimerKind, WireFrame,
 };
 use amoeba_flip::FlipAddress;
 use amoeba_net::{Transport, TransportSender};
@@ -62,16 +71,24 @@ pub(crate) enum Ctl {
     Shutdown,
 }
 
+/// What stepping a member needs exclusively: its protocol core and
+/// its side of the wire. One lock over all of it is what keeps the
+/// member's effects in core order.
+pub(crate) struct Stepper {
+    pub(crate) core: GroupCore,
+    /// This endpoint's frame encoder (reusable scratch, DESIGN.md §7).
+    encoder: FrameEncoder,
+    /// This endpoint's sending port on the fabric (carries the
+    /// epoch-cached membership snapshot; for UDP also the socket and
+    /// scratch buffer, so the `send_to` runs on whichever thread is
+    /// stepping the core).
+    sender: Box<dyn TransportSender>,
+}
+
 /// State shared between the driver thread and the API handle.
 pub(crate) struct NodeShared {
-    pub(crate) core: Mutex<GroupCore>,
+    pub(crate) stepper: Mutex<Stepper>,
     pub(crate) net: Arc<dyn Transport>,
-    /// This endpoint's frame encoder (reusable scratch, DESIGN.md §7).
-    encoder: Mutex<FrameEncoder>,
-    /// This endpoint's sending port on the fabric (carries the
-    /// epoch-cached membership snapshot for the in-memory transport,
-    /// the send-thread queue for UDP).
-    sender: Mutex<Box<dyn TransportSender>>,
     pub(crate) group: GroupId,
     pub(crate) addr: FlipAddress,
     pub(crate) timers: Mutex<HashMap<TimerKind, (u64, Instant)>>,
@@ -96,39 +113,81 @@ pub(crate) struct NodeShared {
 }
 
 impl NodeShared {
-    pub(crate) fn new(
+    /// Builds a member's shared state and plugs its endpoint into
+    /// `net`: in place when the transport offers it (frames then step
+    /// the core on the transport's receive thread), otherwise through
+    /// the returned inbound queue, which the driver thread must drain.
+    pub(crate) fn plug_in(
         core: GroupCore,
         net: Arc<dyn Transport>,
         group: GroupId,
         addr: FlipAddress,
         events_tx: Sender<GroupEvent>,
         ctl_tx: Sender<Ctl>,
-    ) -> Arc<Self> {
+    ) -> (Arc<Self>, Option<Receiver<Datagram>>) {
         let (send_done_tx, send_done_rx) = channel::unbounded();
-        let sender = Mutex::new(net.sender(addr));
-        Arc::new(NodeShared {
-            core: Mutex::new(core),
-            net,
-            encoder: Mutex::new(FrameEncoder::new()),
-            sender,
-            group,
-            addr,
-            timers: Mutex::new(HashMap::new()),
-            timer_gen: Mutex::new(0),
-            events_tx,
-            ctl_tx,
-            send_done_tx,
-            send_done_rx,
-            send_lock: Mutex::new(()),
-            join_done: Slot::new(),
-            leave_done: Slot::new(),
-            reset_done: Slot::new(),
-        })
+        let mut data_rx = None;
+        let shared = Arc::new_cyclic(|me: &Weak<NodeShared>| {
+            // The sink holds the member weakly: the transport never
+            // keeps it alive, and a frame that beats construction (no
+            // peer knows this address yet) is simply dropped.
+            let me = me.clone();
+            let sink = Box::new(move |from, frame| {
+                if let Some(shared) = me.upgrade() {
+                    shared.on_frame(from, frame);
+                }
+            });
+            if !net.register_in_place(addr, sink) {
+                data_rx = Some(net.register(addr));
+            }
+            NodeShared {
+                stepper: Mutex::new(Stepper {
+                    core,
+                    encoder: FrameEncoder::new(),
+                    sender: net.sender(addr),
+                }),
+                net,
+                group,
+                addr,
+                timers: Mutex::new(HashMap::new()),
+                timer_gen: Mutex::new(0),
+                events_tx,
+                ctl_tx,
+                send_done_tx,
+                send_done_rx,
+                send_lock: Mutex::new(()),
+                join_done: Slot::new(),
+                leave_done: Slot::new(),
+                reset_done: Slot::new(),
+            }
+        });
+        (shared, data_rx)
     }
 
-    /// Executes protocol actions. Never called while holding the core
-    /// lock (sends and slot notifications must not deadlock the driver).
-    pub(crate) fn run_actions(&self, actions: Vec<Action>) {
+    /// Steps the core with `op` and executes the resulting actions
+    /// before releasing the stepper lock, which keeps this member's
+    /// effects in core order however many threads step it. Safe
+    /// because [`NodeShared::run_actions`] never takes the stepper lock
+    /// and every action sink is non-blocking (unbounded channels, a
+    /// datagram send, condvar notifies).
+    pub(crate) fn step(&self, op: impl FnOnce(&mut GroupCore) -> Vec<Action>) {
+        let mut stepper = self.stepper.lock();
+        let actions = op(&mut stepper.core);
+        self.run_actions(&mut stepper, actions);
+    }
+
+    /// Handles one inbound frame, on whichever thread received it.
+    fn on_frame(&self, from: FlipAddress, frame: WireFrame) {
+        match decode_wire_frame(frame) {
+            Ok(msg) => self.step(|core| core.handle_message(from, msg)),
+            Err(_) => { /* garbled packet: the protocol's loss
+                           machinery recovers, as on real wires */ }
+        }
+    }
+
+    /// Executes protocol actions; called only by [`NodeShared::step`],
+    /// which holds the stepper lock.
+    fn run_actions(&self, stepper: &mut Stepper, actions: Vec<Action>) {
         for action in actions {
             match action {
                 Action::Send { dest, msg } => {
@@ -137,11 +196,10 @@ impl NodeShared {
                     // refcount-shares the two segments per receiver,
                     // the UDP transport gather-writes them per
                     // fragment (DESIGN.md §7, §12).
-                    let frame = self.encoder.lock().encode_frame(&msg);
-                    let sender = &mut *self.sender.lock();
+                    let frame = stepper.encoder.encode_frame(&msg);
                     match dest {
-                        Dest::Unicast(to) => sender.unicast(to, frame),
-                        Dest::Group => sender.multicast(self.group, frame),
+                        Dest::Unicast(to) => stepper.sender.unicast(to, frame),
+                        Dest::Group => stepper.sender.multicast(self.group, frame),
                     }
                 }
                 Action::SetTimer { kind, after_us } => {
@@ -170,8 +228,8 @@ impl NodeShared {
         }
     }
 
-    /// Runs a blocking primitive: clears its slot, applies `op` to the
-    /// core, executes the resulting actions, and waits for completion.
+    /// Runs a blocking primitive: clears its slot, steps the core with
+    /// `op`, and waits for completion with the stepper lock released.
     pub(crate) fn blocking_op<T>(
         &self,
         slot: &Slot<T>,
@@ -179,11 +237,7 @@ impl NodeShared {
         op: impl FnOnce(&mut GroupCore) -> Vec<Action>,
     ) -> T {
         slot.clear();
-        let actions = {
-            let mut core = self.core.lock();
-            op(&mut core)
-        };
-        self.run_actions(actions);
+        self.step(op);
         slot.wait(Duration::from_secs(120), what)
     }
 
@@ -191,11 +245,7 @@ impl NodeShared {
     /// the send-done channel (possibly `Err(Busy)` synchronously when
     /// the pipelining window is full).
     pub(crate) fn submit_send(&self, payload: bytes::Bytes) {
-        let actions = {
-            let mut core = self.core.lock();
-            core.send_to_group(payload)
-        };
-        self.run_actions(actions);
+        self.step(|core| core.send_to_group(payload));
     }
 
     /// Waits for the next send completion, FIFO with submissions. If
@@ -237,44 +287,42 @@ impl NodeShared {
             kinds
         };
         for kind in expired {
-            let actions = {
-                let mut core = self.core.lock();
-                core.handle_timer(kind)
-            };
-            self.run_actions(actions);
+            self.step(|core| core.handle_timer(kind));
         }
     }
 }
 
-/// The driver loop: packets, control messages and timers.
-pub(crate) fn drive(shared: Arc<NodeShared>, data_rx: Receiver<Datagram>, ctl_rx: Receiver<Ctl>) {
+/// The driver loop: timers, control messages, and inbound frames when
+/// the transport queues them (`data_rx` is `None` when it delivers
+/// them in place on its own receive thread).
+pub(crate) fn drive(
+    shared: Arc<NodeShared>,
+    data_rx: Option<Receiver<Datagram>>,
+    ctl_rx: Receiver<Ctl>,
+) {
     loop {
         let timeout = shared
             .next_deadline()
             .map(|at| at.saturating_duration_since(Instant::now()))
             .unwrap_or(Duration::from_millis(100));
-        channel::select! {
-            recv(data_rx) -> d => {
-                let Ok((from, frame)) = d else { return };
-                match decode_wire_frame(frame) {
-                    Ok(msg) => {
-                        let actions = {
-                            let mut core = shared.core.lock();
-                            core.handle_message(from, msg)
-                        };
-                        shared.run_actions(actions);
+        match &data_rx {
+            Some(data_rx) => channel::select! {
+                recv(data_rx) -> d => {
+                    let Ok((from, frame)) = d else { return };
+                    shared.on_frame(from, frame);
+                }
+                recv(ctl_rx) -> c => {
+                    match c {
+                        Ok(Ctl::Kick) => {}
+                        Ok(Ctl::Shutdown) | Err(_) => return,
                     }
-                    Err(_) => { /* garbled packet: the protocol's loss
-                                   machinery recovers, as on real wires */ }
                 }
-            }
-            recv(ctl_rx) -> c => {
-                match c {
-                    Ok(Ctl::Kick) => {}
-                    Ok(Ctl::Shutdown) | Err(_) => return,
-                }
-            }
-            default(timeout) => {}
+                default(timeout) => {}
+            },
+            None => match ctl_rx.recv_timeout(timeout) {
+                Ok(Ctl::Kick) | Err(RecvTimeoutError::Timeout) => {}
+                Ok(Ctl::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
+            },
         }
         shared.fire_expired();
     }

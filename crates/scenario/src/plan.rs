@@ -163,7 +163,6 @@ impl GroupSpec {
         }
         if let Some(v) = k.history_cap {
             c.history_cap = v;
-            c.history_high_water = v * 3 / 4;
         }
         if let Some(v) = k.auto_reset {
             c.auto_reset = v;
